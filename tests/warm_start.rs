@@ -165,3 +165,48 @@ fn training_twice_freezes_identical_snapshots() {
         "and so is the serialised artifact"
     );
 }
+
+/// Held-out requests for users `ids`, keeping only the edges to users the
+/// posterior was trained on (the first `trained`).
+fn held_out(
+    data: &GeneratedData,
+    ids: std::ops::Range<u32>,
+    trained: usize,
+) -> Vec<ProfileRequest> {
+    let ids: Vec<UserId> = ids.map(UserId).collect();
+    let mut reqs = ProfileRequest::batch_from_dataset(&data.dataset, &ids);
+    for r in &mut reqs {
+        r.observations.neighbors.retain(|p| p.index() < trained);
+    }
+    reqs
+}
+
+#[test]
+fn golden_answers_are_identical_to_the_pinned_hashes() {
+    // Absolute pins: every other test here compares two answers of the
+    // same build, so a change that moved every answer would pass them
+    // all. These values were computed before the fold-in factor tables
+    // existed; any change to them is a change of answers.
+    const PROFILE_BATCH: u64 = 0x9fb6_99d5_da98_a9c0;
+    const REFRESH: u64 = 0xc0f8_3512_5934_14ca;
+    const REFRESHED_EPOCH: u64 = 0x7eca_d529_83d6_f1dd;
+
+    let gaz = Gazetteer::us_cities();
+    let data =
+        Generator::new(&gaz, GeneratorConfig { num_users: 260, seed: 3017, ..Default::default() })
+            .generate();
+    let serving = ServingEngine::builder(&gaz)
+        .mlp_config(MlpConfig { iterations: 8, burn_in: 4, seed: 3017, ..Default::default() })
+        .train(&data.dataset.prefix(200))
+        .unwrap();
+    let reads = held_out(&data, 200..230, 200);
+    let writes = held_out(&data, 230..260, 200);
+
+    let answers = serving.profile_batch(&reads).unwrap();
+    let report = serving.refresh(&writes).unwrap();
+    let refreshed = serving.profile_batch(&reads).unwrap();
+    assert_eq!(report.appended(), 30);
+    assert_eq!(response_determinism_hash(&answers), PROFILE_BATCH);
+    assert_eq!(response_determinism_hash(&report.profiles), REFRESH);
+    assert_eq!(response_determinism_hash(&refreshed), REFRESHED_EPOCH);
+}
