@@ -47,6 +47,13 @@ impl PowerLaw {
         (self.beta * d.powf(self.alpha)).min(1.0)
     }
 
+    /// [`Self::eval`] from a [`Self::kernel`] value computed earlier:
+    /// `min(β·k, 1)`, the same operations on the same inputs.
+    #[inline]
+    pub fn eval_kernel(&self, k: f64) -> f64 {
+        (self.beta * k).min(1.0)
+    }
+
     /// Log-probability at distance `d`, with the same floor.
     ///
     /// The Gibbs sampler works in log space to avoid underflow when a user

@@ -396,8 +396,10 @@ struct Epoch {
     /// popular fallback). Carried per epoch rather than per engine so an
     /// in-place retrain ([`ServingEngine::retrain_from_dataset`]) swaps
     /// posterior and derived state atomically: a reader pinning an old
-    /// epoch keeps the matching parts, never a mix.
-    parts: DerivedParts,
+    /// epoch keeps the matching parts, never a mix. Shared, never copied:
+    /// epochs of one model and every read against them hold the same
+    /// allocation.
+    parts: Arc<DerivedParts>,
 }
 
 /// Builds a [`ServingEngine`]: configuration first, then one of the three
@@ -675,7 +677,7 @@ impl<'a> EngineBuilder<'a> {
             epoch: 0,
             snapshot: updater.snapshot().clone(),
             publisher: Arc::clone(&identity),
-            parts: updater.derived_parts().clone(),
+            parts: Arc::clone(updater.derived_parts()),
         });
         Ok(ServingEngine {
             gaz: self.gaz,
@@ -856,7 +858,7 @@ impl<'a> ServingEngine<'a> {
                 handle.snapshot(),
                 self.gaz,
                 self.fold_in.clone(),
-                handle.inner.parts.clone(),
+                Arc::clone(&handle.inner.parts),
             )
         } else {
             FoldInEngine::new(handle.snapshot(), self.gaz, self.fold_in.clone())?
@@ -885,7 +887,7 @@ impl<'a> ServingEngine<'a> {
             handle.snapshot(),
             self.gaz,
             self.fold_in.clone(),
-            handle.inner.parts.clone(),
+            Arc::clone(&handle.inner.parts),
         );
         let profiles =
             engine.fold_in_singletons_by(requests.len(), |i| &requests[i].observations)?;
@@ -1000,7 +1002,7 @@ impl<'a> ServingEngine<'a> {
                 epoch: served_epoch + 1,
                 snapshot: writer.updater.snapshot().clone(),
                 publisher: Arc::clone(&self.identity),
-                parts: writer.updater.derived_parts().clone(),
+                parts: Arc::clone(writer.updater.derived_parts()),
             });
             commits.push(CommitInfo {
                 appended,
@@ -1202,7 +1204,7 @@ impl<'a> ServingEngine<'a> {
             epoch,
             snapshot: writer.updater.snapshot().clone(),
             publisher: Arc::clone(&self.identity),
-            parts: writer.updater.derived_parts().clone(),
+            parts: Arc::clone(writer.updater.derived_parts()),
         });
         let trained_users = next.snapshot.num_users();
         self.published.store(next);
@@ -1279,6 +1281,25 @@ mod tests {
 
     fn quick(seed: u64) -> MlpConfig {
         MlpConfig { iterations: 6, burn_in: 3, seed, ..Default::default() }
+    }
+
+    #[test]
+    fn epochs_and_reads_share_one_copy_of_the_derived_parts() {
+        let (gaz, data) = corpus(120, 223);
+        let engine = ServingEngine::builder(&gaz)
+            .mlp_config(quick(223))
+            .train(&data.dataset.prefix(100))
+            .unwrap();
+        let before = engine.snapshot();
+        let late: Vec<UserId> = (100..110).map(UserId).collect();
+        engine.refresh_from_dataset(&data.dataset, &late, 10).unwrap();
+        let after = engine.snapshot();
+        assert_eq!(after.epoch(), 1);
+        assert!(Arc::ptr_eq(&before.inner.parts, &after.inner.parts));
+        assert!(Arc::ptr_eq(
+            &after.inner.parts,
+            lock_writer(&engine.writer).updater.derived_parts()
+        ));
     }
 
     #[test]

@@ -21,6 +21,16 @@
 //!   through a [`ProfileView`]/[`CountView`] pair that splices the one
 //!   live user into the frozen posterior.
 //!
+//! Cost: partners stay at their frozen homes and `φ` stays frozen, so
+//! every distance kernel, venue term and partner profile term is fixed for
+//! the whole chain. A request evaluates them once into
+//! [`kernel::FactorTable`]s — `O((anchor cities + venues) · C)` factor
+//! evaluations for `C` candidates — and the sweeps then only multiply-add
+//! over the live user's count row: `O(sweeps · (E + M) · C)` for `E`
+//! neighbours and `M` mentions. The answers are the bits the per-sweep
+//! evaluation gave (the kernel's `table_driven_weights_*` test and the
+//! warm-start golden hashes pin this).
+//!
 //! Batching: each user's chain is independent, so
 //! [`FoldInEngine::fold_in_batch`] fans a request slice across
 //! `std::thread::scope` workers that share the read-only snapshot — no
@@ -30,13 +40,14 @@
 //! warm-start determinism suite).
 
 use crate::config::MlpConfig;
-use crate::kernel::{self, CountView, Endpoint, ProfileView, SamplerView};
+use crate::kernel::{self, CountView, Endpoint, FactorTable, ProfileView, SamplerView};
 use crate::parallel::chunk_ranges;
 use crate::random_models::RandomModels;
 use crate::snapshot::{PosteriorSnapshot, UserPosterior};
 use mlp_gazetteer::{CityId, Gazetteer, VenueId};
 use mlp_sampling::{sample_categorical, Pcg64, SplitMix64};
 use mlp_social::{Dataset, UserId};
+use std::sync::Arc;
 
 /// Errors raised by fold-in inference.
 ///
@@ -364,10 +375,10 @@ impl CountView for FoldInCounts<'_> {
 /// hyper-parameters, and the popular-city fallback list. None of it
 /// changes when delta commits append users, so
 /// [`crate::engine::ServingEngine`] derives it once at build time and
-/// rebuilds per-epoch engines from clones through
-/// [`FoldInEngine::from_validated_parts`] — skipping the per-call
-/// gazetteer-fingerprint walk.
-#[derive(Debug, Clone)]
+/// shares it behind an `Arc` with every epoch and every per-request engine
+/// ([`FoldInEngine::from_validated_parts`]) — no per-call
+/// gazetteer-fingerprint walk, and no per-call copy.
+#[derive(Debug)]
 pub(crate) struct DerivedParts {
     /// Thawed noise models (exact training-time probabilities).
     pub(crate) random: RandomModels,
@@ -411,7 +422,7 @@ pub struct FoldInEngine<'a> {
     gaz: &'a Gazetteer,
     config: FoldInConfig,
     /// See [`DerivedParts`].
-    parts: DerivedParts,
+    parts: Arc<DerivedParts>,
 }
 
 impl<'a> FoldInEngine<'a> {
@@ -431,7 +442,7 @@ impl<'a> FoldInEngine<'a> {
                 gazetteer: (gaz.num_cities() as u32, gaz.num_venues() as u32, gaz_print),
             });
         }
-        let parts = DerivedParts::derive(snap, gaz, config.fallback_popular_k);
+        let parts = Arc::new(DerivedParts::derive(snap, gaz, config.fallback_popular_k));
         Ok(Self { snap, gaz, config, parts })
     }
 
@@ -445,7 +456,7 @@ impl<'a> FoldInEngine<'a> {
         snap: &'a PosteriorSnapshot,
         gaz: &'a Gazetteer,
         config: FoldInConfig,
-        parts: DerivedParts,
+        parts: Arc<DerivedParts>,
     ) -> Self {
         Self { snap, gaz, config, parts }
     }
@@ -625,6 +636,18 @@ impl<'a> FoldInEngine<'a> {
         };
         let count_noisy = snap.count_noisy_assignments;
 
+        // Every factor that reads only frozen state, evaluated once for
+        // the whole chain: the distance kernel from each candidate to each
+        // distinct anchor city, the venue term of each distinct venue at
+        // each candidate, and each anchor's profile term. The sweeps below
+        // only look them up.
+        let (anchor_cities, anchor_rows) = distinct(anchors.iter().map(|a| a.city));
+        let kernels = FactorTable::distance_kernels(&view, new_user, &anchor_cities);
+        let anchor_terms: Vec<f64> =
+            anchors.iter().map(|a| kernel::profile_term(&view, &counts, a.user, a.pos)).collect();
+        let (venues, venue_rows) = distinct(mentions.iter().copied());
+        let venue_terms = FactorTable::venue_terms(&view, &counts, new_user, &venues);
+
         let mut rng =
             Pcg64::new(SplitMix64::derive(self.config.seed, 0x0F1D_0000_0000_0000 ^ index as u64));
 
@@ -634,10 +657,10 @@ impl<'a> FoldInEngine<'a> {
         let mode = {
             let mut scores = vec![0.0f64; profiles.candidates.len()];
             let mut has_signal = false;
-            for a in &anchors {
+            for &row in &anchor_rows {
                 has_signal = true;
-                for (c, &city) in profiles.candidates.iter().enumerate() {
-                    scores[c] += snap.power_law.kernel(self.gaz.distance(city, a.city)).ln();
+                for (score, k) in scores.iter_mut().zip(kernels.row(row)) {
+                    *score += k.ln();
                 }
             }
             for &v in mentions {
@@ -701,20 +724,27 @@ impl<'a> FoldInEngine<'a> {
         let mut acc_sweeps = 0u32;
         let mut buf: Vec<f64> = Vec::new();
         for sweep in 0..self.config.sweeps.max(1) {
-            for (s, anchor) in anchors.iter().enumerate() {
+            for (s, (&a, &anchor_term)) in anchor_rows.iter().zip(&anchor_terms).enumerate() {
                 let (old_mu, old_x) = (mu[s], x[s]);
                 if !old_mu || count_noisy {
                     counts.counts[old_x] -= 1.0;
                     counts.total -= 1.0;
                 }
-                let me = Endpoint { user: new_user, pos: old_x, city: profiles.candidates[old_x] };
-                let (w_based, w_noisy) = kernel::edge_selector_weights(&view, &counts, me, *anchor);
-                let new_mu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
-                kernel::edge_position_weights(
+                let row = kernels.row(a);
+                let (w_based, w_noisy) = kernel::edge_selector_weights_from(
                     &view,
                     &counts,
                     new_user,
-                    (!new_mu).then_some(anchor.city),
+                    old_x,
+                    anchor_term,
+                    row[old_x],
+                );
+                let new_mu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
+                kernel::position_weights_from(
+                    &view,
+                    new_user,
+                    &counts.counts,
+                    (!new_mu).then_some(row),
                     &mut buf,
                 );
                 let new_x = sample_categorical(&mut rng, &buf)
@@ -732,15 +762,16 @@ impl<'a> FoldInEngine<'a> {
                     counts.counts[old_z] -= 1.0;
                     counts.total -= 1.0;
                 }
-                let old_city = profiles.candidates[old_z];
-                let (w_based, w_noisy) =
-                    kernel::mention_selector_weights(&view, &counts, new_user, old_z, old_city, v);
+                let row = venue_terms.row(venue_rows[k]);
+                let (w_based, w_noisy) = kernel::mention_selector_weights_from(
+                    &view, &counts, new_user, old_z, row[old_z], v,
+                );
                 let new_nu = rng.next_f64() * (w_based + w_noisy) < w_noisy;
-                kernel::mention_position_weights(
+                kernel::position_weights_from(
                     &view,
-                    &counts,
                     new_user,
-                    (!new_nu).then_some(v),
+                    &counts.counts,
+                    (!new_nu).then_some(row),
                     &mut buf,
                 );
                 let new_z = sample_categorical(&mut rng, &buf)
@@ -831,6 +862,16 @@ impl<'a> FoldInEngine<'a> {
             venue_deltas,
         })
     }
+}
+
+/// The distinct values of `keys` in ascending order, and the index of each
+/// key among them.
+fn distinct<K: Ord + Copy>(keys: impl Iterator<Item = K> + Clone) -> (Vec<K>, Vec<usize>) {
+    let mut values: Vec<K> = keys.clone().collect();
+    values.sort_unstable();
+    values.dedup();
+    let rows = keys.map(|k| values.binary_search(&k).expect("key was collected")).collect();
+    (values, rows)
 }
 
 #[cfg(test)]

@@ -23,6 +23,16 @@
 //! [`CountView`] lookups from its columnar CSR arenas
 //! ([`crate::count_store`]), the fold-in engine from frozen snapshot
 //! slabs — swapping a storage backend cannot change a single weight.
+//!
+//! The `*_from` forms take the evidence factors — the distance kernel, the
+//! partner's profile term, the venue term — as inputs instead of
+//! computing them, and do the same operations on them as the plain forms,
+//! so both give the same bits (pinned by
+//! `table_driven_weights_are_identical_to_the_plain_kernel`). A fold-in
+//! chain ([`crate::infer`]), whose partners and `φ` never move, evaluates
+//! each factor once per request into a [`FactorTable`] and then calls the
+//! `*_from` forms in every sweep; the training drivers, whose counts move
+//! under them, call the plain forms.
 
 use crate::candidacy::Candidacy;
 use crate::config::MlpConfig;
@@ -321,6 +331,26 @@ pub fn edge_selector_weights<P: ProfileView + ?Sized>(
     (w_based, w_noisy)
 }
 
+/// [`edge_selector_weights`] with the friend's side given as factors: the
+/// friend's [`profile_term`] and the distance kernel
+/// `PowerLaw::kernel(d(x_s, y_s))` between the two assignments.
+#[inline]
+pub fn edge_selector_weights_from<P: ProfileView + ?Sized>(
+    view: &SamplerView<'_, P>,
+    counts: &impl CountView,
+    u: UserId,
+    pos: usize,
+    partner_term: f64,
+    kernel: f64,
+) -> (f64, f64) {
+    let w_based = (1.0 - view.config.rho_f)
+        * profile_term(view, counts, u, pos)
+        * partner_term
+        * view.power_law.eval_kernel(kernel);
+    let w_noisy = view.config.rho_f * view.random.follow_prob();
+    (w_based, w_noisy)
+}
+
 /// Eqs. 7/8 — fills `buf` with unnormalised weights over `u`'s candidates
 /// for an edge-side assignment. `partner` is the *other* endpoint's current
 /// city when the edge is location-based, or `None` when noisy (no distance
@@ -369,6 +399,22 @@ pub fn mention_selector_weights<P: ProfileView + ?Sized>(
     (w_based, w_noisy)
 }
 
+/// [`mention_selector_weights`] with the [`venue_term`] of `v` at the
+/// current assignment's city given.
+#[inline]
+pub fn mention_selector_weights_from<P: ProfileView + ?Sized>(
+    view: &SamplerView<'_, P>,
+    counts: &impl CountView,
+    i: UserId,
+    zi: usize,
+    venue_term: f64,
+    v: VenueId,
+) -> (f64, f64) {
+    let w_based = (1.0 - view.config.rho_t) * profile_term(view, counts, i, zi) * venue_term;
+    let w_noisy = view.config.rho_t * view.random.venue_prob(v);
+    (w_based, w_noisy)
+}
+
 /// Eq. 9 — fills `buf` with unnormalised weights over `u`'s candidates for
 /// the mention assignment. `venue` is the mentioned venue when the mention
 /// is location-based, or `None` when noisy (no venue factor).
@@ -395,6 +441,83 @@ pub fn mention_position_weights<P: ProfileView + ?Sized>(
                 buf.push(counts.user_count(u, c) + gammas[c]);
             }
         }
+    }
+}
+
+/// Eqs. 7–9 with each candidate's evidence factor given: fills `buf` with
+/// `(ϕ_{u,c} + γ_{u,c}) · factors[c]`, or with `ϕ_{u,c} + γ_{u,c}` alone for
+/// a noisy relationship (`None`). `user_counts` is `u`'s own count row
+/// `ϕ_{u,·}`, with the relationship being resampled already excluded.
+/// Given a [`FactorTable`] row of distance kernels it is
+/// [`edge_position_weights`]; given a row of venue terms it is
+/// [`mention_position_weights`].
+#[inline]
+pub fn position_weights_from<P: ProfileView + ?Sized>(
+    view: &SamplerView<'_, P>,
+    u: UserId,
+    user_counts: &[f64],
+    factors: Option<&[f64]>,
+    buf: &mut Vec<f64>,
+) {
+    let gammas = view.candidacy.gammas(u);
+    debug_assert_eq!(user_counts.len(), gammas.len());
+    debug_assert!(factors.is_none_or(|f| f.len() == gammas.len()));
+    buf.clear();
+    let priors = user_counts.iter().zip(gammas).map(|(&n, &g)| n + g);
+    match factors {
+        Some(factors) => buf.extend(priors.zip(factors).map(|(p, &f)| p * f)),
+        None => buf.extend(priors),
+    }
+}
+
+/// Evidence factors over one user's candidates, one row per partner city
+/// or venue: the inputs of the `*_from` conditionals.
+///
+/// A cell is only valid while what it reads stays put, which in training
+/// it does not (partners and `φ` move every step). In a fold-in chain
+/// partners sit at their frozen homes and `φ` is frozen, so every cell
+/// holds for the whole chain: building the table costs one factor
+/// evaluation per (row, candidate) cell, and the sweeps only read it.
+pub struct FactorTable {
+    width: usize,
+    cells: Vec<f64>,
+}
+
+impl FactorTable {
+    /// Row `i` holds `PowerLaw::kernel(d(c, partners[i]))` for each of
+    /// `u`'s candidates `c`.
+    pub fn distance_kernels<P: ProfileView + ?Sized>(
+        view: &SamplerView<'_, P>,
+        u: UserId,
+        partners: &[CityId],
+    ) -> Self {
+        Self::build(view.candidacy.candidates(u), partners, |city, &p| {
+            view.power_law.kernel(view.gaz.distance(city, p))
+        })
+    }
+
+    /// Row `i` holds the [`venue_term`] of `venues[i]` at each of `u`'s
+    /// candidates.
+    pub fn venue_terms<P: ProfileView + ?Sized>(
+        view: &SamplerView<'_, P>,
+        counts: &impl CountView,
+        u: UserId,
+        venues: &[VenueId],
+    ) -> Self {
+        Self::build(view.candidacy.candidates(u), venues, |city, &v| {
+            venue_term(view, counts, city, v)
+        })
+    }
+
+    fn build<K>(cands: &[CityId], rows: &[K], factor: impl Fn(CityId, &K) -> f64) -> Self {
+        let cells = rows.iter().flat_map(|k| cands.iter().map(|&city| factor(city, k))).collect();
+        Self { width: cands.len(), cells }
+    }
+
+    /// Row `i`, one factor per candidate.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.cells[i * self.width..(i + 1) * self.width]
     }
 }
 
@@ -494,6 +617,131 @@ mod tests {
 
             assert_eq!(live_sel, snap_sel, "mention {k} selector weights differ");
             assert_eq!(live_buf, snap_buf, "mention {k} position weights differ");
+        }
+    }
+
+    /// A trained posterior frozen into a snapshot, read the way a fold-in
+    /// chain reads its partners: mean counts and frozen `φ`.
+    struct Frozen<'a>(&'a crate::snapshot::PosteriorSnapshot);
+
+    impl ProfileView for Frozen<'_> {
+        fn candidates(&self, u: UserId) -> &[CityId] {
+            self.0.users.candidates_of(u)
+        }
+
+        fn gammas(&self, u: UserId) -> &[f64] {
+            self.0.users.gammas_of(u)
+        }
+
+        fn gamma_total(&self, u: UserId) -> f64 {
+            self.0.users.gamma_total(u)
+        }
+    }
+
+    impl CountView for Frozen<'_> {
+        fn user_count(&self, u: UserId, c: usize) -> f64 {
+            self.0.users.mean_counts_of(u)[c]
+        }
+
+        fn user_total(&self, u: UserId) -> f64 {
+            self.0.users.mean_total(u)
+        }
+
+        fn venue_count(&self, l: CityId, v: VenueId) -> f64 {
+            self.0.venue_count(l, v)
+        }
+
+        fn city_total(&self, l: CityId) -> f64 {
+            self.0.venues.city_total(l)
+        }
+    }
+
+    /// The table-driven `*_from` forms give the same bits as the plain
+    /// conditionals, in every branch, on a frozen snapshot view.
+    #[test]
+    fn table_driven_weights_are_identical_to_the_plain_kernel() {
+        let gaz = Gazetteer::us_cities();
+        let data = Generator::new(
+            &gaz,
+            GeneratorConfig { num_users: 150, seed: 41, ..Default::default() },
+        )
+        .generate();
+        let config = MlpConfig::default();
+        let adj = Adjacency::build(&data.dataset);
+        let cand = Candidacy::build(&gaz, &data.dataset, &adj, &config);
+        let random = RandomModels::learn(&data.dataset, gaz.num_venues());
+        let mut sampler = GibbsSampler::new(&gaz, &data.dataset, &cand, &random, &config);
+        for _ in 0..3 {
+            sampler.sweep();
+            sampler.state.accumulate();
+        }
+        let snap = crate::snapshot::PosteriorSnapshot::freeze(&sampler);
+        let frozen = Frozen(&snap);
+        let random = RandomModels::from_frozen(snap.follow_prob, snap.venue_probs.clone());
+        let view = SamplerView {
+            gaz: &gaz,
+            candidacy: &frozen,
+            random: &random,
+            config: &config,
+            power_law: snap.power_law,
+        };
+        let (mut plain, mut tabled) = (Vec::new(), Vec::new());
+
+        for e in &data.dataset.edges {
+            let (i, j) = (e.follower, e.friend);
+            let home = snap.users.home(j);
+            let friend = Endpoint {
+                user: j,
+                pos: frozen.candidates(j).binary_search(&home).unwrap(),
+                city: home,
+            };
+            let kernels = FactorTable::distance_kernels(&view, i, &[home]);
+            let row = kernels.row(0);
+            let friend_term = profile_term(&view, &frozen, friend.user, friend.pos);
+            for (c, &city) in frozen.candidates(i).iter().enumerate() {
+                let me = Endpoint { user: i, pos: c, city };
+                assert_eq!(
+                    edge_selector_weights(&view, &frozen, me, friend),
+                    edge_selector_weights_from(&view, &frozen, i, c, friend_term, row[c]),
+                    "edge {i}->{j} selector at candidate {c}"
+                );
+            }
+            for partner in [Some(home), None] {
+                edge_position_weights(&view, &frozen, i, partner, &mut plain);
+                position_weights_from(
+                    &view,
+                    i,
+                    frozen.0.users.mean_counts_of(i),
+                    partner.map(|_| row),
+                    &mut tabled,
+                );
+                assert_eq!(plain, tabled, "edge {i}->{j} position weights ({partner:?})");
+            }
+        }
+
+        for m in &data.dataset.mentions {
+            let (i, v) = (m.user, m.venue);
+            let terms = FactorTable::venue_terms(&view, &frozen, i, &[v]);
+            let row = terms.row(0);
+            for (c, &city) in frozen.candidates(i).iter().enumerate() {
+                assert_eq!(
+                    mention_selector_weights(&view, &frozen, i, c, city, v),
+                    mention_selector_weights_from(&view, &frozen, i, c, row[c], v),
+                    "mention of {} by {i}: selector at candidate {c}",
+                    v.0
+                );
+            }
+            for venue in [Some(v), None] {
+                mention_position_weights(&view, &frozen, i, venue, &mut plain);
+                position_weights_from(
+                    &view,
+                    i,
+                    frozen.0.users.mean_counts_of(i),
+                    venue.map(|_| row),
+                    &mut tabled,
+                );
+                assert_eq!(plain, tabled, "mention of {} by {i}: position weights", v.0);
+            }
         }
     }
 

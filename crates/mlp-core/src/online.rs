@@ -39,7 +39,7 @@ use crate::infer::{FoldInConfig, FoldInEngine, FoldInError, FoldInProfile, NewUs
 use crate::snapshot::{PosteriorSnapshot, SnapshotDelta, SnapshotError};
 use bytes::Bytes;
 use mlp_gazetteer::Gazetteer;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Errors raised while building an [`OnlineUpdater`] — either the serving
 /// side (snapshot/gazetteer mismatch) or the format side (unencodable
@@ -119,7 +119,7 @@ pub struct OnlineUpdater<'a> {
     /// popular fallback), derived once here — delta commits never change
     /// it — so each absorb rebinds a fold-in engine without re-walking
     /// the gazetteer fingerprint or re-sorting cities.
-    parts: crate::infer::DerivedParts,
+    parts: Arc<crate::infer::DerivedParts>,
     /// Staged but not yet committed.
     pending: SnapshotDelta,
     /// Commit history since the base snapshot, in order.
@@ -142,7 +142,11 @@ impl<'a> OnlineUpdater<'a> {
         // engine itself is rebuilt per absorb (the snapshot mutates
         // between commits) from the parts derived here.
         FoldInEngine::new(&snapshot, gaz, fold_in.clone())?;
-        let parts = crate::infer::DerivedParts::derive(&snapshot, gaz, fold_in.fallback_popular_k);
+        let parts = Arc::new(crate::infer::DerivedParts::derive(
+            &snapshot,
+            gaz,
+            fold_in.fallback_popular_k,
+        ));
         let base_users = snapshot.num_users() as u32;
         Ok(Self {
             gaz,
@@ -167,7 +171,7 @@ impl<'a> OnlineUpdater<'a> {
     /// The snapshot-derived fold-in state computed at construction —
     /// shared with [`crate::engine::ServingEngine`] so the read path and
     /// the absorb path can never derive divergent copies.
-    pub(crate) fn derived_parts(&self) -> &crate::infer::DerivedParts {
+    pub(crate) fn derived_parts(&self) -> &Arc<crate::infer::DerivedParts> {
         &self.parts
     }
 
@@ -197,7 +201,7 @@ impl<'a> OnlineUpdater<'a> {
             &self.snapshot,
             self.gaz,
             self.fold_in.clone(),
-            self.parts.clone(),
+            Arc::clone(&self.parts),
         );
         let records = engine.fold_in_records(batch)?;
         let mut profiles = Vec::with_capacity(records.len());

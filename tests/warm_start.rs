@@ -185,8 +185,8 @@ fn held_out(
 fn golden_answers_are_identical_to_the_pinned_hashes() {
     // Absolute pins: every other test here compares two answers of the
     // same build, so a change that moved every answer would pass them
-    // all. These values were computed before the fold-in factor tables
-    // existed; any change to them is a change of answers.
+    // all. A change that moves these values changes answers, and must
+    // say so.
     const PROFILE_BATCH: u64 = 0x9fb6_99d5_da98_a9c0;
     const REFRESH: u64 = 0xc0f8_3512_5934_14ca;
     const REFRESHED_EPOCH: u64 = 0x7eca_d529_83d6_f1dd;
