@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve_load [--users N] [--churn-pool N] [--clients N] [--seconds F]
-//!            [--seed N] [--threads N] [--coalesce N] [--no-churn]
+//!            [--seed N] [--threads N] [--no-churn]
 //!            [--churn-batch N] [--artifact FILE] [--kill-after F]
 //!            [--compact-bytes N] [--smoke] [--contend] [--recover]
 //! ```

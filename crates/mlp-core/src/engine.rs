@@ -24,11 +24,6 @@
 //!   posterior, never a torn one, and the monitoring surface
 //!   ([`ServingEngine::epoch`], [`commits`](ServingEngine::commits),
 //!   [`needs_retrain`](ServingEngine::needs_retrain)) is wait-free.
-//! * **Request coalescing** — concurrent single-user requests can opt
-//!   into a [`crate::coalesce::Coalescer`] that groups them into one
-//!   fold-in wave per epoch read (see [`ServingEngine::coalescer`]),
-//!   answering each exactly as a standalone [`ServingEngine::profile`]
-//!   call would.
 //! * **Typed vocabulary** — [`ProfileRequest`] in,
 //!   [`ProfileResponse`]/[`RankedCities`] out, one [`EngineError`] over
 //!   config, model, snapshot, fold-in, and IO failures.
@@ -79,7 +74,6 @@
 //! assert_eq!(engine.snapshot().num_users(), 80);
 //! ```
 
-use crate::coalesce::Coalescer;
 use crate::config::{ConfigError, MlpConfig};
 use crate::infer::{
     determinism_hash_rankings, DerivedParts, FoldInConfig, FoldInEngine, FoldInError,
@@ -416,26 +410,6 @@ pub struct EngineBuilder<'a> {
     durable: bool,
     compact_threshold: u64,
     sharding: ShardedTrainConfig,
-    open_mode: OpenMode,
-    integrity: Integrity,
-}
-
-/// How [`EngineBuilder::from_artifact_file`] brings the artifact into
-/// memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OpenMode {
-    /// Peek the artifact version and pick: v5 artifacts are mapped and
-    /// served zero-copy, legacy layouts take the plain read + copying
-    /// decode. The default.
-    #[default]
-    Auto,
-    /// Always map the file. v5 slabs are borrowed in place; a legacy,
-    /// misaligned, or big-endian artifact still thaws correctly through
-    /// the copying fallback inside [`PosteriorSnapshot::open_mapped`].
-    Mapped,
-    /// Always read the whole file and decode into owned arenas — the
-    /// pre-v5 behavior, never maps.
-    Copied,
 }
 
 /// Default WAL size past which a file-backed engine folds the log into
@@ -453,26 +427,7 @@ impl<'a> EngineBuilder<'a> {
             durable: true,
             compact_threshold: DEFAULT_WAL_COMPACT_THRESHOLD,
             sharding: ShardedTrainConfig::default(),
-            open_mode: OpenMode::default(),
-            integrity: Integrity::default(),
         }
-    }
-
-    /// How [`Self::from_artifact_file`] brings the artifact into memory
-    /// (mapped zero-copy vs owned read; see [`OpenMode`]).
-    pub fn open_mode(mut self, mode: OpenMode) -> Self {
-        self.open_mode = mode;
-        self
-    }
-
-    /// How much of a mapped v5 artifact [`Self::from_artifact_file`]
-    /// verifies before serving it: [`Integrity::Full`] (default)
-    /// checksums every section; [`Integrity::Structural`] verifies only
-    /// the header and structural invariants, so the open touches O(ids)
-    /// bytes instead of the whole file. See [`Integrity`] for the trade.
-    pub fn integrity(mut self, integrity: Integrity) -> Self {
-        self.integrity = integrity;
-        self
     }
 
     /// User partitions for [`Self::train_corpus`]: `1` (default) runs the
@@ -583,8 +538,10 @@ impl<'a> EngineBuilder<'a> {
         self.adopt(snapshot)
     }
 
-    /// [`Self::from_artifact`] reading the bytes from a file — the
-    /// *durable* entry point (unless [`Self::durable`]`(false)`).
+    /// [`Self::from_artifact`] over a mapped file — every slab is served
+    /// zero-copy from the mapping, after the full integrity check of
+    /// [`PosteriorSnapshot::open_mapped`] — and the *durable* entry point
+    /// (unless [`Self::durable`]`(false)`).
     ///
     /// Durable opens recover on the way in: the sidecar
     /// `<artifact>.wal` is scanned, every committed delta record is
@@ -602,31 +559,14 @@ impl<'a> EngineBuilder<'a> {
     ) -> Result<ServingEngine<'a>, EngineError> {
         self.fold_in.validate()?;
         let path = path.as_ref();
-        let use_map = match self.open_mode {
-            OpenMode::Copied => false,
-            OpenMode::Mapped => true,
-            // v5 artifacts are built for in-place serving; legacy layouts
-            // would only be copied out of the mapping anyway, so read them
-            // plainly.
-            OpenMode::Auto => {
-                peek_artifact_version(path)? == Some(crate::snapshot::CURRENT_ARTIFACT_VERSION)
-            }
-        };
-        let (mut snapshot, base_fingerprint) = if use_map {
-            let map = Arc::new(mmap_lite::Mmap::open(path)?);
-            // The fingerprint pass streams through the page cache — no
-            // artifact-sized allocation happens on this path.
-            let fp = self.durable.then(|| artifact_fingerprint(map.as_slice()));
-            (PosteriorSnapshot::open_mapped_with(&map, self.integrity)?, fp)
-        } else {
-            let raw = std::fs::read(path)?;
-            let fp = self.durable.then(|| artifact_fingerprint(&raw));
-            (PosteriorSnapshot::decode(Bytes::from(raw))?, fp)
-        };
-        if !self.durable {
+        // The fingerprint pass streams through the page cache — no
+        // artifact-sized allocation happens on this path.
+        let map = Arc::new(mmap_lite::Mmap::open(path)?);
+        let base_fingerprint = self.durable.then(|| artifact_fingerprint(map.as_slice()));
+        let mut snapshot = PosteriorSnapshot::open_mapped(&map)?;
+        let Some(base_fingerprint) = base_fingerprint else {
             return self.adopt(snapshot);
-        }
-        let base_fingerprint = base_fingerprint.expect("fingerprint computed on the durable path");
+        };
         let wal_path = DeltaWal::sidecar_path(path);
         let (wal, found) = DeltaWal::recover(&wal_path, base_fingerprint)?;
         let mut replayed_users = 0;
@@ -870,41 +810,6 @@ impl<'a> ServingEngine<'a> {
         Ok(profiles.into_iter().map(|p| ProfileResponse { ranked: p.into(), epoch }).collect())
     }
 
-    /// Profiles each request as an *independent single-user call* sharing
-    /// one epoch read and one scheduler pass: every answer is
-    /// bit-identical to what [`Self::profile`] would return for that
-    /// request alone (each chain pins the singleton RNG stream), so
-    /// grouping requests never changes any of them. This is the serving
-    /// primitive behind [`Self::coalescer`]; for batches whose answers
-    /// should match [`crate::FoldInEngine::fold_in_batch`] semantics
-    /// (index-derived streams), use [`Self::profile_batch`] instead.
-    pub fn profile_each(
-        &self,
-        requests: &[ProfileRequest],
-    ) -> Result<Vec<ProfileResponse>, EngineError> {
-        let handle = self.snapshot();
-        let engine = FoldInEngine::from_validated_parts(
-            handle.snapshot(),
-            self.gaz,
-            self.fold_in.clone(),
-            Arc::clone(&handle.inner.parts),
-        );
-        let profiles =
-            engine.fold_in_singletons_by(requests.len(), |i| &requests[i].observations)?;
-        let epoch = handle.epoch();
-        Ok(profiles.into_iter().map(|p| ProfileResponse { ranked: p.into(), epoch }).collect())
-    }
-
-    /// A bounded group-commit [`Coalescer`] over this engine: concurrent
-    /// single-user [`Coalescer::profile`] calls are grouped into waves of
-    /// up to `max_batch` requests, each wave served through
-    /// [`Self::profile_each`] (one epoch read, one scheduler pass) with
-    /// every answer exactly what a standalone [`Self::profile`] call
-    /// would have returned. See [`crate::coalesce`] for the protocol.
-    pub fn coalescer(&self, max_batch: usize) -> Coalescer<'_, 'a> {
-        Coalescer::new(self, max_batch)
-    }
-
     /// Absorbs a batch of new users into the posterior and publishes the
     /// next epoch: fold-in → stage → commit → publish, as one atomic
     /// writer-side step. The returned profiles are bit-identical to what
@@ -1093,8 +998,8 @@ impl<'a> ServingEngine<'a> {
     }
 
     /// Whether the currently published posterior serves its slabs
-    /// zero-copy out of a mapped artifact (true only for v5 files opened
-    /// with [`OpenMode::Auto`]/[`OpenMode::Mapped`], until a delta-free
+    /// zero-copy out of a mapped artifact (true for engines opened by
+    /// [`EngineBuilder::from_artifact_file`], until a delta-free
     /// checkpoint remap is superseded by owned mutation). A monitoring
     /// read; takes the writer lock briefly.
     pub fn is_mapped(&self) -> bool {
@@ -1237,20 +1142,6 @@ impl<'a> ServingEngine<'a> {
         let bytes = self.encode_artifact()?;
         write_atomic(path.as_ref(), bytes.as_slice())?;
         Ok(bytes.len())
-    }
-}
-
-/// Reads just enough of `path` to learn the artifact's declared format
-/// version — `None` when the file is too short or not a snapshot at all
-/// (the full open will produce the typed error).
-fn peek_artifact_version(path: &Path) -> std::io::Result<Option<u16>> {
-    use std::io::Read;
-    let mut head = [0u8; 6];
-    let mut file = std::fs::File::open(path)?;
-    match file.read_exact(&mut head) {
-        Ok(()) => Ok(crate::snapshot::artifact_version(&head)),
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
-        Err(e) => Err(e),
     }
 }
 

@@ -498,20 +498,6 @@ impl<'a> FoldInEngine<'a> {
         self.fold_in_each(len, |i| self.fold_in_indexed(i, get(i), false).map(|r| r.profile))
     }
 
-    /// [`Self::fold_in_batch_by`] with every chain pinned to the RNG
-    /// stream of batch index 0: each answer is bit-identical to a
-    /// standalone [`Self::fold_in`] call on that request alone. This is
-    /// the coalescing contract ([`crate::coalesce`]) — grouping
-    /// concurrent single-user requests into one wave must not change any
-    /// answer, no matter which requests happen to share the wave.
-    pub(crate) fn fold_in_singletons_by<'b>(
-        &self,
-        len: usize,
-        get: impl Fn(usize) -> &'b NewUserObservations + Sync,
-    ) -> Result<Vec<FoldInProfile>, FoldInError> {
-        self.fold_in_each(len, |i| self.fold_in_indexed(0, get(i), false).map(|r| r.profile))
-    }
-
     /// [`Self::fold_in_batch`] returning full [`FoldInRecord`]s — the
     /// commit-ready form the online updater consumes. Profiles are
     /// bit-identical to [`Self::fold_in_batch`] on the same batch (the

@@ -7,10 +7,11 @@
 //! panic and never undefined behaviour.
 
 use bytes::Bytes;
-use mlp::core::engine::{response_determinism_hash, OpenMode};
+use mlp::core::engine::response_determinism_hash;
 use mlp::core::snapshot::{
     inspect_artifact, Integrity, PosteriorSnapshot, SnapshotError, CURRENT_ARTIFACT_VERSION,
 };
+use mlp::core::wal::DeltaWal;
 use mlp::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -60,51 +61,72 @@ fn write_base(gaz: &Gazetteer, data: &GeneratedData, trained: usize, seed: u64, 
 
 /// The headline acceptance criterion: an engine serving from borrowed
 /// mapped slabs answers every profile request byte-identically to an
-/// engine that materialized the same artifact through the copying
-/// decode, and `Auto` routes a v5 artifact onto the mapped path.
+/// engine that decoded the same artifact into owned memory, and to one
+/// adopting a mapped snapshot opened under the structural-only
+/// verification policy.
 #[test]
 fn mapped_engine_serves_byte_identically_to_copied() {
     let dir = tmp_dir("identical");
     let path = dir.join("model.mlps");
     let (gaz, data) = corpus(120, 11001);
     write_base(&gaz, &data, 80, 11001, &path);
+    let artifact = std::fs::read(&path).unwrap();
     assert_eq!(
-        mlp::core::snapshot::artifact_version(&std::fs::read(&path).unwrap()),
-        Some(CURRENT_ARTIFACT_VERSION),
+        inspect_artifact(&artifact).unwrap().version,
+        CURRENT_ARTIFACT_VERSION,
         "the writer emits v5"
     );
 
-    let mapped =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Mapped).from_artifact_file(&path).unwrap();
-    let copied =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Copied).from_artifact_file(&path).unwrap();
-    let auto = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    let mapped = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    let owned = ServingEngine::builder(&gaz).from_artifact(Bytes::from(artifact.clone())).unwrap();
+    let map = Arc::new(mmap_lite::Mmap::open(&path).unwrap());
     let structural = ServingEngine::builder(&gaz)
-        .open_mode(OpenMode::Mapped)
-        .integrity(Integrity::Structural)
-        .from_artifact_file(&path)
+        .from_snapshot(PosteriorSnapshot::open_mapped_with(&map, Integrity::Structural).unwrap())
         .unwrap();
-    assert!(mapped.is_mapped(), "Mapped must borrow the file");
-    assert!(!copied.is_mapped(), "Copied must own its slabs");
-    assert!(auto.is_mapped(), "Auto routes v5 onto the mapped path");
-    assert!(structural.is_mapped());
+    assert!(mapped.is_mapped(), "a file open must borrow the mapping");
+    assert!(!owned.is_mapped(), "a bytes open owns its slabs");
+    assert_eq!(structural.is_mapped(), map.is_mapped());
 
     let reqs = requests(&data, 80..120, 80);
     let mapped_hash = response_determinism_hash(&mapped.profile_batch(&reqs).unwrap());
-    let copied_hash = response_determinism_hash(&copied.profile_batch(&reqs).unwrap());
-    let auto_hash = response_determinism_hash(&auto.profile_batch(&reqs).unwrap());
+    let owned_hash = response_determinism_hash(&owned.profile_batch(&reqs).unwrap());
     let structural_hash = response_determinism_hash(&structural.profile_batch(&reqs).unwrap());
-    assert_eq!(mapped_hash, copied_hash, "mapped and copied engines must agree bit-for-bit");
-    assert_eq!(auto_hash, copied_hash);
-    assert_eq!(structural_hash, copied_hash, "verification policy must not change answers");
-    drop(structural);
+    assert_eq!(mapped_hash, owned_hash, "mapped and owned engines must agree bit-for-bit");
+    assert_eq!(structural_hash, owned_hash, "verification policy must not change answers");
 
-    // The mapped snapshot also re-encodes to the exact artifact bytes.
-    assert_eq!(
-        mapped.snapshot().try_encode().unwrap().as_slice(),
-        copied.snapshot().try_encode().unwrap().as_slice()
-    );
-    drop((mapped, copied, auto));
+    // Every snapshot also re-encodes to the exact artifact bytes.
+    for (engine, tag) in [(&mapped, "mapped"), (&owned, "owned"), (&structural, "structural")] {
+        assert_eq!(
+            engine.snapshot().try_encode().unwrap().as_slice(),
+            artifact.as_slice(),
+            "{tag} re-encode"
+        );
+    }
+    drop((mapped, owned, structural, map));
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// An artifact of a retired format version — here a hand-built v4
+/// header, shorter than the v5 header — is refused with the typed
+/// version error, not misread or reported as truncated.
+#[test]
+fn older_artifact_file_fails_with_unsupported_version() {
+    let dir = tmp_dir("v4");
+    let path = dir.join("model.mlps");
+    // Magic "MLPS" LE, version 4, then the start of a v4 payload.
+    let mut v4 = vec![0x53, 0x50, 0x4C, 0x4D, 0x04, 0x00, 0x02, 0x00];
+    v4.extend_from_slice(&[0u8; 64]);
+    std::fs::write(&path, &v4).unwrap();
+    let gaz = Gazetteer::us_cities();
+    for durable in [true, false] {
+        let err = ServingEngine::builder(&gaz).durable(durable).from_artifact_file(&path);
+        assert!(
+            matches!(err, Err(EngineError::Snapshot(SnapshotError::UnsupportedVersion(4)))),
+            "durable={durable}: got {:?}",
+            err.err()
+        );
+    }
+    assert!(!DeltaWal::sidecar_path(&path).exists(), "a refused open must not create a log");
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -117,8 +139,7 @@ fn wal_deltas_overlay_the_mapped_base_on_reopen() {
     let (gaz, data) = corpus(100, 11002);
     write_base(&gaz, &data, 60, 11002, &path);
 
-    let engine =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Mapped).from_artifact_file(&path).unwrap();
+    let engine = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
     assert!(engine.is_mapped() && engine.is_durable());
     let ids: Vec<UserId> = (60..80).map(UserId).collect();
     engine.refresh_from_dataset(&data.dataset, &ids, 10).unwrap();
@@ -128,8 +149,7 @@ fn wal_deltas_overlay_the_mapped_base_on_reopen() {
     let committed = engine.snapshot().try_encode().unwrap();
     drop(engine); // the kill: deltas live only in the log
 
-    let reopened =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Mapped).from_artifact_file(&path).unwrap();
+    let reopened = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
     assert!(reopened.is_mapped(), "replaying the log must not force a materialized base");
     assert_eq!(reopened.recovery_report().unwrap().replayed_records, 2);
     assert_eq!(reopened.snapshot().try_encode().unwrap().as_slice(), committed.as_slice());
@@ -148,8 +168,7 @@ fn checkpoint_remaps_the_fresh_base() {
     let (gaz, data) = corpus(100, 11003);
     write_base(&gaz, &data, 60, 11003, &path);
 
-    let engine =
-        ServingEngine::builder(&gaz).open_mode(OpenMode::Mapped).from_artifact_file(&path).unwrap();
+    let engine = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
     let ids: Vec<UserId> = (60..80).map(UserId).collect();
     engine.refresh_from_dataset(&data.dataset, &ids, 10).unwrap();
     let reqs = requests(&data, 80..100, 60);
