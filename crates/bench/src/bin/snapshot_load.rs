@@ -1,5 +1,5 @@
 //! Cold-start benchmark: copied decode vs zero-copy mapped open of a v5
-//! serving artifact (PR 9).
+//! serving artifact (PR 9), plus the durable engine open that serves it.
 //!
 //! ```text
 //! snapshot_load [--sizes 10_000,100_000,1_000_000] [--cities N]
@@ -9,20 +9,26 @@
 //!
 //! For each size the harness synthesises a structurally valid posterior
 //! of that many users (no training — this measures the storage layer),
-//! writes the v5 artifact to disk, then opens it twice: once through the
-//! copying decode (`PosteriorSnapshot::decode`, every slab materialised
-//! on the heap) and once through the mapped path
-//! (`PosteriorSnapshot::open_mapped`, slabs borrowed from the page
-//! cache). It reports wall-clock open time and the resident-memory
-//! growth of each open, split into anonymous (heap duplication — the
-//! cost the mapped path removes) and file-backed (page cache the kernel
-//! can evict) components. A value probe asserts both opens thaw the same
-//! posterior before any number is reported.
+//! writes the v5 artifact to disk, then opens it through the copying
+//! decode (`PosteriorSnapshot::decode`, every slab materialised on the
+//! heap), the mapped path (`PosteriorSnapshot::open_mapped`, slabs
+//! borrowed from the page cache) and its structural-only variant, and
+//! finally as the engine opens it in service:
+//! `EngineBuilder::from_artifact_file` with the durable default (mapped
+//! Full open, WAL binding and recovery). One untimed durable open
+//! creates the sidecar log; `durable_open_ms` is the median of the
+//! timed reopens that recover it. It reports wall-clock open time and
+//! the resident-memory growth of the copied and mapped opens, split into
+//! anonymous (heap duplication — the cost the mapped path removes) and
+//! file-backed (page cache the kernel can evict) components. A value
+//! probe asserts every open thaws the same posterior before any number
+//! is reported.
 //!
 //! `--json FILE` writes the rows machine-readably (BENCH_9.json). The
 //! gate flags make the run fail loudly — the CI cold-start smoke:
-//! `--budget-ms` bounds the full-verify mapped open, `--rss-budget-mb`
-//! bounds its *anonymous* RSS growth, and `--min-speedup` bounds
+//! `--budget-ms` bounds the full-verify mapped open and the durable
+//! engine open, `--rss-budget-mb` bounds the mapped open's *anonymous*
+//! RSS growth, and `--min-speedup` bounds
 //! copied ÷ structural — the O(structure) open whose headroom (~30x on
 //! the reference box) survives a noisy shared runner, where the
 //! full-verify ratio (~3x, both sides I/O-bound) would flake.
@@ -30,13 +36,16 @@
 use bytes::Bytes;
 use mlp_bench::current_rss;
 use mlp_core::snapshot::{gazetteer_fingerprint, Integrity, PosteriorSnapshot, UserPosterior};
-use mlp_core::{UserArena, VenueArena};
+use mlp_core::{DeltaWal, ServingEngine, UserArena, VenueArena};
 use mlp_gazetteer::{CityId, Gazetteer, SynthConfig};
 use mlp_geo::PowerLaw;
 use mlp_social::UserId;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Timed durable reopens per size; `durable_open_ms` is their median.
+const DURABLE_REOPENS: usize = 5;
 
 struct Args {
     sizes: Vec<usize>,
@@ -177,6 +186,7 @@ struct Row {
     speedup: f64,
     fast_ms: f64,
     fast_speedup: f64,
+    durable_ms: f64,
 }
 
 fn mb(bytes: u64) -> f64 {
@@ -238,6 +248,23 @@ fn main() {
         assert!(fast.is_zero_copy());
         assert_eq!(probe(&fast), expected_probe, "structural-open probe");
         drop((fast, map));
+
+        // Durable engine open, as served: the first open creates the
+        // sidecar log, the timed reopens recover it.
+        let durable_open = || {
+            let t = Instant::now();
+            let engine =
+                ServingEngine::builder(&gaz).from_artifact_file(&path).expect("durable open");
+            let ms = t.elapsed().as_secs_f64() * 1000.0;
+            assert!(engine.is_durable() && engine.is_mapped());
+            assert_eq!(probe(&engine.snapshot()), expected_probe, "durable-open probe");
+            ms
+        };
+        durable_open();
+        let mut reopens: Vec<f64> = (0..DURABLE_REOPENS).map(|_| durable_open()).collect();
+        reopens.sort_by(f64::total_cmp);
+        let durable_ms = reopens[DURABLE_REOPENS / 2];
+        std::fs::remove_file(DeltaWal::sidecar_path(&path)).ok();
         std::fs::remove_file(&path).ok();
 
         let speedup = copied_ms / mapped_ms.max(1e-9);
@@ -246,7 +273,7 @@ fn main() {
             "[{users}] artifact {file_mb:.1} MiB | copied {copied_ms:.1} ms \
              (+{:.1} MiB anon) | mapped+verify {mapped_ms:.1} ms (+{:.1} MiB anon, \
              +{:.1} MiB file-backed) {speedup:.1}x | mapped+structural {fast_ms:.1} ms \
-             {fast_speedup:.1}x",
+             {fast_speedup:.1}x | durable open {durable_ms:.1} ms",
             mb(copied_rss.anon),
             mb(mapped_rss.anon),
             mb(mapped_rss.file),
@@ -255,6 +282,9 @@ fn main() {
         if let Some(budget) = a.budget_ms {
             if mapped_ms > budget {
                 failures.push(format!("[{users}] mapped open {mapped_ms:.1} ms > {budget} ms"));
+            }
+            if durable_ms > budget {
+                failures.push(format!("[{users}] durable open {durable_ms:.1} ms > {budget} ms"));
             }
         }
         if let Some(budget) = a.rss_budget_mb {
@@ -283,6 +313,7 @@ fn main() {
             speedup,
             fast_ms,
             fast_speedup,
+            durable_ms,
         });
     }
 
@@ -295,7 +326,8 @@ fn main() {
                      \"copied_rss_anon_mb\": {:.1}, \"copied_rss_total_mb\": {:.1}, \
                      \"mapped_open_ms\": {:.2}, \"mapped_rss_anon_mb\": {:.1}, \
                      \"mapped_rss_total_mb\": {:.1}, \"speedup\": {:.1}, \
-                     \"structural_open_ms\": {:.2}, \"structural_speedup\": {:.1}}}",
+                     \"structural_open_ms\": {:.2}, \"structural_speedup\": {:.1}, \
+                     \"durable_open_ms\": {:.2}}}",
                     r.users,
                     r.file_mb,
                     r.copied_ms,
@@ -306,7 +338,8 @@ fn main() {
                     r.mapped_total_mb,
                     r.speedup,
                     r.fast_ms,
-                    r.fast_speedup
+                    r.fast_speedup,
+                    r.durable_ms
                 )
             })
             .collect();

@@ -559,14 +559,14 @@ impl<'a> EngineBuilder<'a> {
     ) -> Result<ServingEngine<'a>, EngineError> {
         self.fold_in.validate()?;
         let path = path.as_ref();
-        // The fingerprint pass streams through the page cache — no
-        // artifact-sized allocation happens on this path.
         let map = Arc::new(mmap_lite::Mmap::open(path)?);
-        let base_fingerprint = self.durable.then(|| artifact_fingerprint(map.as_slice()));
         let mut snapshot = PosteriorSnapshot::open_mapped(&map)?;
-        let Some(base_fingerprint) = base_fingerprint else {
+        if !self.durable {
             return self.adopt(snapshot);
-        };
+        }
+        // Only now, with every section CRC checked, does the header
+        // identify the file: bind the log to it.
+        let base_fingerprint = artifact_fingerprint(map.as_slice());
         let wal_path = DeltaWal::sidecar_path(path);
         let (wal, found) = DeltaWal::recover(&wal_path, base_fingerprint)?;
         let mut replayed_users = 0;

@@ -23,18 +23,23 @@
 //! No crash point leaves a state that decodes to something the process
 //! never served.
 //!
-//! ## On-disk layout (WAL v1)
+//! A log written by another WAL format version is never set aside or
+//! replayed: [`DeltaWal::recover`] fails with
+//! [`WalError::UnsupportedVersion`] and leaves the file as it is.
+//!
+//! ## On-disk layout (WAL v2)
 //!
 //! ```text
-//! header   [u32 magic "MLPW"][u16 version = 1][u16 reserved = 0]
-//!          [u64 base artifact fingerprint (FNV-1a over the file bytes)]
+//! header   [u32 magic "MLPW"][u16 version = 2][u16 reserved = 0]
+//!          [u64 base artifact fingerprint (FNV-1a of the artifact's
+//!           checksummed 516-byte header, which carries every section CRC)]
 //! record   [u32 magic "MLPR"][u64 payload len][u32 IEEE CRC32 of payload]
 //!          [payload — a SnapshotDelta record payload, as in the artifact]
 //! ```
 //!
 //! All integers little-endian, records repeated until end of file.
 
-use crate::snapshot::{crc32, SnapshotDelta, SnapshotError};
+use crate::snapshot::{crc32, SnapshotDelta, SnapshotError, V5_HEADER_LEN};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -43,19 +48,34 @@ use std::path::{Path, PathBuf};
 pub const WAL_MAGIC: u32 = 0x4D4C_5057;
 /// Per-record magic: `"MLPR"` little-endian.
 pub const RECORD_MAGIC: u32 = 0x4D4C_5052;
-const WAL_VERSION: u16 = 1;
+/// WAL format version. v1 bound a log to an FNV-1a of every artifact
+/// byte; v2 binds it to the artifact's checksummed header.
+pub const WAL_VERSION: u16 = 2;
 /// Header: magic + version + reserved + base fingerprint.
 pub const WAL_HEADER_LEN: u64 = 4 + 2 + 2 + 8;
 /// Per-record framing ahead of the payload: magic + length + CRC.
 pub const RECORD_FRAME_LEN: u64 = 4 + 8 + 4;
+/// Bytes of an artifact that [`artifact_fingerprint`] hashes: the v5
+/// header and the CRC32 that covers it.
+pub const FINGERPRINT_SPAN: usize = V5_HEADER_LEN + 4;
 
-/// Stable FNV-1a hash of raw artifact bytes. The WAL header stores the
-/// fingerprint of the base artifact it extends, so a log can never be
-/// replayed onto a different base (e.g. after a checkpoint replaced the
-/// artifact but crashed before resetting the log).
+/// Stable FNV-1a hash of an artifact's checksummed header — its first
+/// [`FINGERPRINT_SPAN`] bytes, or all of `bytes` when shorter. The WAL
+/// header stores the fingerprint of the base artifact it extends, so a
+/// log can never be replayed onto a different base (e.g. after a
+/// checkpoint replaced the artifact but crashed before resetting the
+/// log).
+///
+/// The header holds every section's offset, length and CRC32, and its
+/// own CRC covers them, so once a [`crate::snapshot::Integrity::Full`]
+/// open has checked those CRCs against the payload, these 516 bytes
+/// identify the whole file: two verified artifacts with equal headers
+/// have equal sections, up to a CRC32 collision. Hash only artifacts
+/// that passed that check.
 pub fn artifact_fingerprint(bytes: &[u8]) -> u64 {
+    let header = &bytes[..bytes.len().min(FINGERPRINT_SPAN)];
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in header {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -72,6 +92,10 @@ pub enum WalError {
     /// frame survived the crash intact, so this is writer-side
     /// corruption, not a torn tail, and is never silently dropped.
     Record(SnapshotError),
+    /// A complete log header with the WAL magic but another format
+    /// version. Its records may be committed deltas this build cannot
+    /// bind, so the log is left untouched rather than set aside.
+    UnsupportedVersion(u16),
 }
 
 impl std::fmt::Display for WalError {
@@ -79,6 +103,9 @@ impl std::fmt::Display for WalError {
         match self {
             WalError::Io(e) => write!(f, "wal io error: {e}"),
             WalError::Record(e) => write!(f, "wal record invalid: {e}"),
+            WalError::UnsupportedVersion(v) => {
+                write!(f, "wal format v{v} is not supported (this build reads v{WAL_VERSION})")
+            }
         }
     }
 }
@@ -88,6 +115,7 @@ impl std::error::Error for WalError {
         match self {
             WalError::Io(e) => Some(e),
             WalError::Record(e) => Some(e),
+            WalError::UnsupportedVersion(_) => None,
         }
     }
 }
@@ -161,9 +189,12 @@ impl DeltaWal {
     /// `base_fingerprint`, recovering its committed prefix.
     ///
     /// * No file: a fresh log is created (`created` in the report).
-    /// * Header mismatch — wrong magic/version, torn header, or a
-    ///   fingerprint for a different base: the whole file is moved aside
-    ///   to `<path>.stale` (never deleted) and a fresh log is created.
+    /// * A complete header with the WAL magic but another version:
+    ///   [`WalError::UnsupportedVersion`], and the file is left as it is
+    ///   — its records may be committed deltas.
+    /// * Header mismatch — wrong magic, torn header, or a fingerprint
+    ///   for a different base: the whole file is moved aside to
+    ///   `<path>.stale` (never deleted) and a fresh log is created.
     /// * Record scan: frames are parsed until end of file; the first
     ///   framing or checksum failure marks the torn tail, which is
     ///   truncated and fsync'd away. A CRC-*valid* record that fails
@@ -179,6 +210,9 @@ impl DeltaWal {
             Err(e) => return Err(WalError::Io(e)),
         };
 
+        if let Some(version) = foreign_version(&raw) {
+            return Err(WalError::UnsupportedVersion(version));
+        }
         if !header_matches(&raw, base_fingerprint) {
             let stale = stale_sibling(path);
             std::fs::rename(path, &stale)?;
@@ -313,6 +347,10 @@ pub struct WalInfo {
     /// Unparseable tail bytes past the committed prefix (torn write, or
     /// the whole file when even the header is damaged).
     pub torn_bytes: u64,
+    /// The WAL format version of a log written by another version
+    /// ([`WalError::UnsupportedVersion`] on open). Such a log is not
+    /// parsed: `records`, `fingerprint` and `torn_bytes` are 0.
+    pub foreign_version: Option<u16>,
 }
 
 /// Read-only sidecar inspection: counts the committed records without
@@ -326,11 +364,14 @@ pub fn inspect_log(path: &Path) -> std::io::Result<Option<WalInfo>> {
         Err(e) => return Err(e),
     };
     let bytes = raw.len() as u64;
+    let info = WalInfo { records: 0, bytes, fingerprint: 0, torn_bytes: 0, foreign_version: None };
+    if let Some(version) = foreign_version(&raw) {
+        return Ok(Some(WalInfo { foreign_version: Some(version), ..info }));
+    }
     if raw.len() < WAL_HEADER_LEN as usize
         || u32::from_le_bytes(raw[0..4].try_into().unwrap()) != WAL_MAGIC
-        || u16::from_le_bytes(raw[4..6].try_into().unwrap()) != WAL_VERSION
     {
-        return Ok(Some(WalInfo { records: 0, bytes, fingerprint: 0, torn_bytes: bytes }));
+        return Ok(Some(WalInfo { torn_bytes: bytes, ..info }));
     }
     let fingerprint = u64::from_le_bytes(raw[8..16].try_into().unwrap());
     let mut pos = WAL_HEADER_LEN as usize;
@@ -339,7 +380,7 @@ pub fn inspect_log(path: &Path) -> std::io::Result<Option<WalInfo>> {
         records += 1;
         pos += RECORD_FRAME_LEN as usize + len;
     }
-    Ok(Some(WalInfo { records, bytes, fingerprint, torn_bytes: (raw.len() - pos) as u64 }))
+    Ok(Some(WalInfo { records, fingerprint, torn_bytes: (raw.len() - pos) as u64, ..info }))
 }
 
 /// A set-aside name for a stale log that never clobbers an earlier
@@ -360,6 +401,19 @@ fn stale_sibling(path: &Path) -> PathBuf {
         }
     }
     unreachable!("ran out of stale-log names")
+}
+
+/// The version of a complete WAL header (right magic) whose version is
+/// not [`WAL_VERSION`]; `None` for this version, a torn header or a
+/// foreign magic.
+fn foreign_version(raw: &[u8]) -> Option<u16> {
+    if raw.len() < WAL_HEADER_LEN as usize
+        || u32::from_le_bytes(raw[0..4].try_into().unwrap()) != WAL_MAGIC
+    {
+        return None;
+    }
+    let version = u16::from_le_bytes(raw[4..6].try_into().unwrap());
+    (version != WAL_VERSION).then_some(version)
 }
 
 /// Whether `raw` starts with a valid WAL header bound to `fingerprint`.
@@ -534,6 +588,47 @@ mod tests {
         // A second sweep with one survivor is a no-op.
         wal.age_stale_siblings();
         assert!(second.exists());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn other_versions_fail_typed_and_are_left_in_place() {
+        let dir = tmp_dir("foreign");
+        let path = dir.join("model.mlps.wal");
+        let fp = artifact_fingerprint(b"base");
+        let mut wal = DeltaWal::create(&path, fp).unwrap();
+        wal.append(&sample_delta(5, 7)).unwrap();
+        drop(wal);
+        let current = std::fs::read(&path).unwrap();
+
+        for version in [0u16, 1, 3, u16::MAX] {
+            let mut raw = current.clone();
+            raw[4..6].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &raw).unwrap();
+            match DeltaWal::recover(&path, fp) {
+                Err(WalError::UnsupportedVersion(v)) => assert_eq!(v, version),
+                other => panic!("v{version}: expected UnsupportedVersion, got {other:?}"),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), raw, "v{version}: log must be untouched");
+            let info = inspect_log(&path).unwrap().unwrap();
+            assert_eq!(info.foreign_version, Some(version));
+            assert_eq!((info.records, info.torn_bytes), (0, 0), "not reported as torn bytes");
+        }
+        assert!(!dir.join("model.mlps.wal.stale").exists(), "nothing set aside");
+
+        // A torn header is still set aside, whatever version it names.
+        let mut torn = current[..WAL_HEADER_LEN as usize - 1].to_vec();
+        torn[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &torn).unwrap();
+        let (_, rec) = DeltaWal::recover(&path, fp).unwrap();
+        assert!(rec.stale_moved_to.is_some() && rec.created);
+
+        // This version reads as before.
+        std::fs::write(&path, &current).unwrap();
+        let info = inspect_log(&path).unwrap().unwrap();
+        assert_eq!((info.records, info.fingerprint, info.foreign_version), (1, fp, None));
+        let (_, rec) = DeltaWal::recover(&path, fp).unwrap();
+        assert_eq!(rec.deltas.len(), 1);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -398,7 +398,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 info.user_nnz, info.venue_nnz
             );
             println!("  gazetteer fingerprint {:016x}", info.gaz_fingerprint);
-            println!("  artifact fingerprint  {:016x}", mlp::core::wal::artifact_fingerprint(&raw));
+            let fingerprint = mlp::core::wal::artifact_fingerprint(&raw);
+            println!("  artifact fingerprint (header) {fingerprint:016x}");
             println!("  embedded delta records: {}", info.delta_records);
             println!("  section table ({} sections, 64-byte aligned):", info.sections.len());
             for s in &info.sections {
@@ -412,8 +413,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("reading {wal_path}: {e}"))?
             {
                 None => println!("  sidecar log: none"),
+                Some(mlp::core::wal::WalInfo { foreign_version: Some(v), bytes, .. }) => println!(
+                    "  sidecar log: {bytes} bytes written by WAL format v{v} (this build reads \
+                     v{}; see README \"Durability & crash recovery\" to migrate)",
+                    mlp::core::wal::WAL_VERSION
+                ),
                 Some(w) => {
-                    let binding = if w.fingerprint == mlp::core::wal::artifact_fingerprint(&raw) {
+                    let binding = if w.fingerprint == fingerprint {
                         "bound to this artifact"
                     } else {
                         "STALE: bound to a different base"

@@ -9,8 +9,11 @@
 //! replayed.
 
 use mlp::core::engine::response_determinism_hash;
-use mlp::core::snapshot::UserPosterior;
-use mlp::core::wal::{artifact_fingerprint, write_atomic, DeltaWal, RECORD_MAGIC, WAL_HEADER_LEN};
+use mlp::core::snapshot::{inspect_artifact, SnapshotError, UserPosterior};
+use mlp::core::wal::{
+    artifact_fingerprint, write_atomic, DeltaWal, WalError, FINGERPRINT_SPAN, RECORD_MAGIC,
+    WAL_HEADER_LEN,
+};
 use mlp::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -242,6 +245,134 @@ fn stale_log_is_set_aside_when_the_base_moved_on() {
         full_state,
         "the new base already contains the stale log's deltas — nothing lost"
     );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Opens `path` durably with refresh waves over users `range` committed
+/// to the log and never checkpointed; returns the log's bytes.
+fn commit_to_log(
+    gaz: &Gazetteer,
+    data: &GeneratedData,
+    path: &Path,
+    range: std::ops::Range<u32>,
+) -> Vec<u8> {
+    let engine = ServingEngine::builder(gaz).from_artifact_file(path).unwrap();
+    let ids: Vec<UserId> = range.map(UserId).collect();
+    engine.refresh_from_dataset(&data.dataset, &ids, 10).unwrap();
+    assert!(engine.log_bytes().unwrap() > WAL_HEADER_LEN);
+    drop(engine);
+    std::fs::read(DeltaWal::sidecar_path(path)).unwrap()
+}
+
+#[test]
+fn log_of_another_wal_version_fails_typed_and_stays_untouched() {
+    let dir = tmp_dir("foreign_version");
+    let path = dir.join("model.mlps");
+    let (gaz, data) = corpus(80, 9011);
+    write_base(&gaz, &data, 60, 9011, &path);
+
+    // A log as the previous build wrote it: the same framing under a v1
+    // header. Its records are committed deltas, so they must neither be
+    // replayed under the new binding nor be set aside.
+    let mut v1 = commit_to_log(&gaz, &data, &path, 60..70);
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let wal_path = DeltaWal::sidecar_path(&path);
+    std::fs::write(&wal_path, &v1).unwrap();
+
+    let err = ServingEngine::builder(&gaz).from_artifact_file(&path);
+    assert!(
+        matches!(err, Err(EngineError::Wal(WalError::UnsupportedVersion(1)))),
+        "got {:?}",
+        err.err()
+    );
+    assert_eq!(std::fs::read(&wal_path).unwrap(), v1, "the v1 log must be left as it was");
+    let stale = dir.join("model.mlps.wal.stale");
+    assert!(!stale.exists(), "a log of another version is never set aside");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn corrupt_base_payload_fails_the_open_and_leaves_the_log_untouched() {
+    let dir = tmp_dir("corrupt_payload");
+    let path = dir.join("model.mlps");
+    let (gaz, data) = corpus(80, 9013);
+    write_base(&gaz, &data, 60, 9013, &path);
+    let log = commit_to_log(&gaz, &data, &path, 60..70);
+
+    // One flipped payload byte, section CRC left as it was: the header
+    // (and so the fingerprint the log is bound to) is unchanged, so only
+    // the Full CRC pass can refuse this base.
+    let mut raw = std::fs::read(&path).unwrap();
+    let gammas = inspect_artifact(&raw).unwrap().sections[3].clone();
+    assert_eq!(gammas.name, "user_gammas");
+    raw[(gammas.offset + gammas.len / 2) as usize] ^= 0x10;
+    std::fs::write(&path, &raw).unwrap();
+
+    for _ in 0..2 {
+        let err = ServingEngine::builder(&gaz).from_artifact_file(&path);
+        assert!(
+            matches!(
+                err,
+                Err(EngineError::Snapshot(SnapshotError::Corrupt("section checksum mismatch")))
+            ),
+            "got {:?}",
+            err.err()
+        );
+    }
+    let wal_path = DeltaWal::sidecar_path(&path);
+    assert_eq!(std::fs::read(&wal_path).unwrap(), log, "a refused open must not touch the log");
+    assert!(!dir.join("model.mlps.wal.stale").exists());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn binding_sees_a_payload_only_change() {
+    let dir = tmp_dir("payload_binding");
+    let path = dir.join("model.mlps");
+    let (gaz, data) = corpus(80, 9015);
+    write_base(&gaz, &data, 60, 9015, &path);
+    let a = std::fs::read(&path).unwrap();
+
+    // A second valid artifact that differs from the first only inside
+    // one section's payload (its CRC, and so the header CRC, recomputed
+    // by the encoder).
+    let mut snap = PosteriorSnapshot::decode(bytes::Bytes::from(a.clone())).unwrap();
+    snap.venue_probs[0] *= 1.0 + 1e-9;
+    let b = snap.try_encode().unwrap().to_vec();
+    let (info_a, info_b) = (inspect_artifact(&a).unwrap(), inspect_artifact(&b).unwrap());
+    let probs = &info_a.sections[0];
+    assert_eq!(probs.name, "venue_probs");
+    assert_eq!(a.len(), b.len());
+    assert!(info_a.sections.iter().zip(&info_b.sections).all(|(x, y)| {
+        (x.offset, x.len) == (y.offset, y.len) && (x.crc == y.crc) == (x.name != "venue_probs")
+    }));
+    let payload = probs.offset as usize..(probs.offset + probs.len) as usize;
+    // Only the header and that payload may differ.
+    assert_eq!(a[FINGERPRINT_SPAN..payload.start], b[FINGERPRINT_SPAN..payload.start]);
+    assert_eq!(a[payload.end..], b[payload.end..]);
+    assert_ne!(artifact_fingerprint(&a), artifact_fingerprint(&b));
+
+    // A log bound to `a` is set aside when `b` takes its place.
+    commit_to_log(&gaz, &data, &path, 60..70);
+    write_atomic(&path, &b).unwrap();
+    let reopened = ServingEngine::builder(&gaz).from_artifact_file(&path).unwrap();
+    let report = reopened.recovery_report().unwrap();
+    assert_eq!(report.replayed_records, 0, "a log bound to another payload must never replay");
+    assert!(report.stale_log_moved_to.as_ref().is_some_and(|p| p.exists()));
+    assert_eq!(reopened.snapshot().try_encode().unwrap().as_slice(), &b[..]);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn fingerprint_spans_only_the_checksummed_header() {
+    let dir = tmp_dir("fingerprint_span");
+    let path = dir.join("model.mlps");
+    let (gaz, data) = corpus(60, 9017);
+    write_base(&gaz, &data, 60, 9017, &path);
+    let raw = std::fs::read(&path).unwrap();
+    assert_eq!(FINGERPRINT_SPAN, 512 + 4, "the v5 header and its CRC32");
+    assert!(raw.len() > FINGERPRINT_SPAN);
+    assert_eq!(artifact_fingerprint(&raw), artifact_fingerprint(&raw[..FINGERPRINT_SPAN]));
     std::fs::remove_dir_all(dir).ok();
 }
 
